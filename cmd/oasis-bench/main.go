@@ -294,10 +294,6 @@ func run(cfg experiments.Config, exps, queryStr string, shardCounts []int, worke
 			return err
 		}
 		experiments.RenderLiveBand(out, row)
-		refOverBand := 0.0
-		if row.BandTime > 0 {
-			refOverBand = float64(row.RefTime) / float64(row.BandTime)
-		}
 		report.Records = append(report.Records,
 			experiments.BenchRecord{
 				Name:            "liveband/band",
@@ -307,14 +303,7 @@ func run(cfg experiments.Config, exps, queryStr string, shardCounts []int, worke
 				Extra: map[string]float64{
 					"cell_fraction": row.CellFraction,
 					"hits":          float64(row.Hits),
-					"ref_over_band": refOverBand,
 				},
-			},
-			experiments.BenchRecord{
-				Name:            "liveband/ref-kernel",
-				NsPerOp:         float64(row.RefTime),
-				ColumnsExpanded: row.Columns,
-				CellsComputed:   row.BandCells,
 			},
 			experiments.BenchRecord{
 				Name:            "liveband/full-sweep",

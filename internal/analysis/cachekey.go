@@ -49,8 +49,8 @@ func DefaultCacheKeyConfig() CacheKeyConfig {
 // options struct against the fields the cache-key normalizer consumes and
 // fails on any non-exempt field missing from the key.  A missed field means
 // two searches with different options can share one cache entry — silently
-// wrong cached answers, the bug class PR 9 had to remember to fix by hand for
-// ReferenceKernel.
+// wrong cached answers that no result-level test would notice until the
+// options actually diverge in production.
 func NewCacheKey(cfg CacheKeyConfig) *Analyzer {
 	a := &Analyzer{
 		Name: "cachekey",

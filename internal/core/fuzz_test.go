@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
+	"repro/internal/align"
 	"repro/internal/fuzzutil"
 	"repro/internal/score"
 	"repro/internal/seq"
@@ -148,26 +150,19 @@ func TestFuzzHelpersRejectDegenerateInput(t *testing.T) {
 	}
 }
 
-// FuzzKernelEquivalence is the branch-free kernel's differential harness: on
-// arbitrary databases, queries, gap penalties and score cutoffs, the SoA
-// edge-sweep kernel (kernel.go's sweepEdgeFast) must be observationally
-// identical to the retained scalar reference kernel (Options.ReferenceKernel,
-// sweepColumnRef) — the same hits with the same endpoints in the same order,
-// and the same work profile: columns expanded, cells computed (the sum of the
-// per-column live-band interval widths), the widest band stored, and every
-// accept/unviable decision.  Any divergence in the band arithmetic — a
-// clamped interval off by one, a select that revives a dead cell — shows up
-// as a cell-count or band-width mismatch even when the hits happen to agree.
-// Both live-band modes are exercised: DisableLiveBand widens the band to the
-// full column, which pins the kernels' full-column code paths against each
-// other too.
+// FuzzKernelEquivalence checks the DP kernel against an independent oracle,
+// exhaustive Smith-Waterman (internal/align), on arbitrary databases,
+// queries, gap penalties and score cutoffs, with the live band on or off
+// (DisableLiveBand).  Hits must stream in non-increasing score order, the
+// (sequence, score) multiset must equal align.SearchDatabase's, and every
+// reported endpoint must be the end of an optimal alignment: the S-W score of
+// query[:QueryEnd] against target[:TargetEnd] equals the hit's score.
 func FuzzKernelEquivalence(f *testing.F) {
 	f.Add([]byte("ACGTACGTTTACGGACGT\x00GGGTTTACGT\x00ACACACAC"), []byte("ACGTAC"), uint8(3), uint8(1), false)
 	f.Add([]byte("TTTTTTTTTT\x00TTTTT"), []byte("TTTT"), uint8(1), uint8(2), true)
 	f.Add([]byte("ACGGGTACCA\x00CCCGGGTTTAAA\x00GTGTGTGTGT"), []byte("GGGTTT"), uint8(4), uint8(4), false)
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0, 11, 12, 13, 14}, []byte{5, 6, 7}, uint8(2), uint8(1), true)
-	fastScratch := NewScratch()
-	refScratch := NewScratch()
+	warm := NewScratch()
 	f.Fuzz(func(t *testing.T, dbData, queryData []byte, minByte, gapByte uint8, disableBand bool) {
 		db := fuzzDatabase(seq.DNA, dbData)
 		q := fuzzQuery(seq.DNA, queryData)
@@ -178,50 +173,47 @@ func FuzzKernelEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatalf("index build: %v", err)
 		}
-		opts := Options{
-			Scheme:          score.MustScheme(score.UnitDNA(), -1-int(gapByte%4)),
-			MinScore:        1 + int(minByte%12),
-			DisableLiveBand: disableBand,
-		}
-		var fastStats, refStats Stats
-		fastOpts := opts
-		fastOpts.Stats = &fastStats
-		fastOpts.Scratch = fastScratch
-		fast, err := SearchAll(idx, q, fastOpts)
+		scheme := score.MustScheme(score.UnitDNA(), -1-int(gapByte%4))
+		minScore := 1 + int(minByte%12)
+		var st Stats
+		hits, err := SearchAll(idx, q, Options{
+			Scheme: scheme, MinScore: minScore, DisableLiveBand: disableBand,
+			Stats: &st, Scratch: warm,
+		})
 		if err != nil {
-			t.Fatalf("fast kernel: %v", err)
+			t.Fatalf("search: %v", err)
 		}
-		refOpts := opts
-		refOpts.Stats = &refStats
-		refOpts.Scratch = refScratch
-		refOpts.ReferenceKernel = true
-		ref, err := SearchAll(idx, q, refOpts)
+		want, err := align.SearchDatabase(db, q, scheme, align.Options{MinScore: minScore})
 		if err != nil {
-			t.Fatalf("reference kernel: %v", err)
+			t.Fatalf("oracle: %v", err)
 		}
-		if len(fast) != len(ref) {
-			t.Fatalf("hit count: fast %d, reference %d (db %q, query %q, opts %+v)",
-				len(fast), len(ref), dbData, queryData, opts)
-		}
-		for i := range fast {
-			if fast[i] != ref[i] {
-				t.Fatalf("hit %d differs: fast %+v, reference %+v (opts %+v)",
-					i, fast[i], ref[i], opts)
+		ctx := fmt.Sprintf("(db %q, query %q, minScore %d, gap %d, band off %v)",
+			dbData, queryData, minScore, scheme.Gap, disableBand)
+		for i, h := range hits {
+			if i > 0 && h.Score > hits[i-1].Score {
+				t.Fatalf("hit %d score %d above its predecessor's %d %s", i, h.Score, hits[i-1].Score, ctx)
+			}
+			target := db.Sequence(h.SeqIndex).Residues
+			if h.QueryEnd < 1 || h.QueryEnd > len(q) || h.TargetEnd < 1 || h.TargetEnd > len(target) {
+				t.Fatalf("hit %+v: endpoint out of range %s", h, ctx)
+			}
+			if got := align.Score(q[:h.QueryEnd], target[:h.TargetEnd], scheme, nil); got != h.Score {
+				t.Fatalf("hit %+v: S-W score up to its endpoints is %d %s", h, got, ctx)
 			}
 		}
-		type workProfile struct {
-			columns, cells, accepted, unviable, reported int64
-			maxBand                                      int
+		if len(hits) != len(want) {
+			t.Fatalf("hit count: OASIS %d, Smith-Waterman %d %s", len(hits), len(want), ctx)
 		}
-		fastWork := workProfile{fastStats.ColumnsExpanded, fastStats.CellsComputed,
-			fastStats.NodesAccepted, fastStats.NodesUnviable, fastStats.SequencesReported,
-			fastStats.MaxBandWidth}
-		refWork := workProfile{refStats.ColumnsExpanded, refStats.CellsComputed,
-			refStats.NodesAccepted, refStats.NodesUnviable, refStats.SequencesReported,
-			refStats.MaxBandWidth}
-		if fastWork != refWork {
-			t.Fatalf("work profile diverged:\n fast: %+v\n  ref: %+v\n(db %q, query %q, opts %+v)",
-				fastWork, refWork, dbData, queryData, opts)
+		sorted := append([]Hit(nil), hits...)
+		SortHits(sorted)
+		for i := range sorted {
+			if sorted[i].SeqIndex != want[i].SeqIndex || sorted[i].Score != want[i].Score {
+				t.Fatalf("hit multiset differs at %d: OASIS (%d, %d), Smith-Waterman (%d, %d) %s",
+					i, sorted[i].SeqIndex, sorted[i].Score, want[i].SeqIndex, want[i].Score, ctx)
+			}
+		}
+		if st.SequencesReported != int64(len(hits)) {
+			t.Fatalf("stats report %d sequences, stream had %d", st.SequencesReported, len(hits))
 		}
 	})
 }

@@ -19,17 +19,15 @@ type Scratch struct {
 	// them in O(hits) instead of O(sequences).
 	reported []bool
 	touched  []int
-	// prevBuf/curBuf are the column sweep's scratch pair: m+2 cells so the
-	// fast kernel can write its above-band sentinel at index m+1 (kernel.go).
+	// prevBuf/curBuf are the column sweep's scratch pair: m+2 cells, of
+	// which the sweep uses rows 0..m.
 	prevBuf []int32
 	curBuf  []int32
-	// h is the heuristic vector buffer; h32 its int32 copy for the kernels.
+	// h is the heuristic vector buffer; h32 its int32 copy for the kernel.
 	h   []int
 	h32 []int32
-	// prof is the row-major query profile (prof[(i-1)*width + sym], reference
-	// kernel); profT the transposed profile (profT[sym*m + i-1], fast kernel).
-	prof  []int32
-	profT []int32
+	// prof is the row-major query profile (prof[(i-1)*width + sym]).
+	prof []int32
 	// freeBands recycles band slices, bucketed by power-of-two capacity class
 	// (see searcher.allocBand).  Band classes are query-length independent,
 	// so recycled bands carry over between queries of different lengths
@@ -82,15 +80,11 @@ func (sc *Scratch) acquire(n, m int, matrix *score.Matrix, query []byte) {
 	need := m * width
 	if cap(sc.prof) < need {
 		sc.prof = make([]int32, need)
-		sc.profT = make([]int32, need)
 	}
 	sc.prof = sc.prof[:need]
-	sc.profT = sc.profT[:need]
 	for i, q := range query {
 		for sym := 0; sym < width; sym++ {
-			v := int32(matrix.Score(q, byte(sym)))
-			sc.prof[i*width+sym] = v
-			sc.profT[sym*m+i] = v
+			sc.prof[i*width+sym] = int32(matrix.Score(q, byte(sym)))
 		}
 	}
 	sc.nodes.reset()

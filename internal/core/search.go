@@ -15,7 +15,7 @@ const negInf = score.NegInf
 // maxKernelScore caps the heuristic prefix sum h[0] (the largest score any
 // search over the query could produce).  Cell values and priority bounds are
 // kept in int32 (see store.go); the cap leaves headroom so no sum the
-// kernels form — including sentinel arithmetic around negInf — can leave the
+// kernel forms — including sentinel arithmetic around negInf — can leave the
 // int32 domain.  It allows queries up to hundreds of millions of residues of
 // best-case score before refusing.
 const maxKernelScore = 1 << 28
@@ -43,12 +43,6 @@ type Options struct {
 	// flag exists so tests and benchmarks can quantify the band's
 	// CellsComputed reduction.
 	DisableLiveBand bool
-	// ReferenceKernel selects the original scalar column sweep (per-cell
-	// band-bound guards, sentinel-guarded adds, branchy bookkeeping) instead
-	// of the branch-free structure-of-arrays kernel.  Results and work
-	// counters are identical either way (FuzzKernelEquivalence); the flag
-	// exists for differential testing and for ablating the kernel rewrite.
-	ReferenceKernel bool
 	// Scratch, when non-nil, supplies reusable search buffers so warm
 	// engines avoid per-query allocation.  A Scratch must serve at most one
 	// search at a time; results are identical with or without it.
@@ -215,7 +209,7 @@ type searcher struct {
 	opts  Options
 	sc    *Scratch
 	h     []int   // heuristic vector, length m+1
-	h32   []int32 // the kernels' int32 copy of h
+	h32   []int32 // the kernel's int32 copy of h
 	// The priority queue: bq (O(1) bucket queue over the small f domain
 	// [MinScore, h[0]]) whenever that domain fits maxBucketRange, pq (4-ary
 	// heap) as the fallback for pathologically wide domains.  Both implement
@@ -243,8 +237,8 @@ type searcher struct {
 	ctx           context.Context
 	pollEvery     int
 	pollCountdown int
-	// prevBuf/curBuf are scratch columns (m+2 cells: one sentinel above the
-	// band, see kernel.go) reused across expansions.
+	// prevBuf/curBuf are scratch columns (Scratch.acquire sizes them)
+	// reused across expansions.
 	prevBuf []int32
 	curBuf  []int32
 	// freeBands recycles the band slices of popped viable nodes, bucketed by
@@ -252,13 +246,9 @@ type searcher struct {
 	// its class (see allocBand).
 	freeBands [][][]int32
 	// prof is the query profile in row-major order (prof[(i-1)*profWidth +
-	// sym]), used by the reference kernel; profT is the transposed profile
-	// (profT[sym*m + (i-1)]), whose per-symbol rows are contiguous for the
-	// fast kernel's column sweeps.
+	// sym]).
 	prof      []int32
-	profT     []int32
 	profWidth int
-	refKernel bool
 	full      bool
 }
 
@@ -311,9 +301,7 @@ func newSearcher(idx Index, query []byte, opts Options) (*searcher, error) {
 		curBuf:    sc.curBuf,
 		freeBands: sc.freeBands,
 		prof:      sc.prof,
-		profT:     sc.profT,
 		profWidth: mat.Size(),
-		refKernel: opts.ReferenceKernel,
 		full:      opts.DisableLiveBand,
 	}
 	if opts.Context != nil && opts.CancelPollColumns >= 0 {
@@ -605,170 +593,16 @@ type expandResult struct {
 // revived by later columns except through the insertion chain immediately
 // above hi), so only cells reachable from the previous column's band are
 // computed.  Options.DisableLiveBand widens the band to the full column,
-// restoring the original exhaustive sweep; Options.ReferenceKernel selects
-// the original guarded scalar sweep (see kernel.go for both kernels).
+// restoring the original exhaustive sweep.  Each symbol is one sweepColumn
+// call (kernel.go); after each column the node is accepted once its best
+// score reaches the column's best f (nothing below can beat it), or
+// discarded once that f falls below MinScore.
 func (s *searcher) expand(parentID int32, child NodeRef, label EdgeLabel) (expandResult, error) {
-	if s.refKernel {
-		return s.expandRef(parentID, child, label)
-	}
-	return s.expandFast(parentID, child, label)
-}
-
-// closeOut stores a node whose subtree is finished — closed out by the prune
-// rule, a leaf, or a terminator — as accepted (when its best score qualifies)
-// or unviable.
-func (s *searcher) closeOut(child NodeRef, maxScore, bestQEnd, bestDepth int32) expandResult {
-	if int(maxScore) >= s.opts.MinScore {
-		s.stats.NodesAccepted++
-		id := s.acc.alloc()
-		s.acc.ref[id] = child
-		s.acc.score[id] = maxScore
-		s.acc.qEnd[id] = bestQEnd
-		s.acc.pDep[id] = bestDepth
-		return expandResult{id: id, f: int(maxScore), accepted: true, ok: true}
-	}
-	s.stats.NodesUnviable++
-	return expandResult{}
-}
-
-// storeViable stores a still-viable node and returns its queue entry.
-func (s *searcher) storeViable(child NodeRef, depth int32, plo, phi int, band []int32, maxScore, bestQEnd, bestDepth int32, f int) expandResult {
-	ns := s.nodes
-	id := ns.alloc()
-	ns.ref[id] = child
-	ns.depth[id] = depth
-	ns.maxSc[id] = maxScore
-	ns.qEnd[id] = bestQEnd
-	ns.pDep[id] = bestDepth
-	ns.cLo[id] = int32(plo)
-	ns.cHi[id] = int32(phi)
-	b := s.allocBand(phi - plo + 1)
-	copy(b, band[plo:phi+1])
-	ns.band[id] = b
-	return expandResult{id: id, f: f, ok: true}
-}
-
-// expandFast is expand on the branch-free edge kernel: sweepEdgeFast
-// processes a whole edge-label chunk per call (capped to the cancellation
-// poll interval when a context is set), so the per-column loop runs inside
-// the kernel instead of re-crossing the call boundary every symbol.
-func (s *searcher) expandFast(parentID int32, child NodeRef, label EdgeLabel) (expandResult, error) {
-	m := len(s.query)
-	gap := int32(s.opts.Scheme.Gap)
-	minScore := int32(s.opts.MinScore)
-	ns := s.nodes
-
-	// prev/cur are searcher-owned scratch buffers (reused across every
-	// expansion); prev starts as a copy of the parent's live band so the
-	// parent's vector stays intact for its other children.  The locals swap
-	// roles with every column the kernel completes; every return path below
-	// re-synchronises the searcher fields so buffer ownership stays explicit.
-	prev := s.prevBuf
-	cur := s.curBuf
-	plo, phi := int(ns.cLo[parentID]), int(ns.cHi[parentID])
-	copy(prev[plo:phi+1], ns.band[parentID])
-	maxScore := ns.maxSc[parentID]
-	bestQEnd := ns.qEnd[parentID]
-	bestDepth := ns.pDep[parentID]
-	parentDepth := int(ns.depth[parentID])
-
-	fBound := negInf
-	consumed := 0
-	var cells int64
-	terminator := false
-	labelLen := label.Len()
-	for j := 0; j < labelLen && !terminator; {
-		to := j + 64
-		if to > labelLen {
-			to = labelLen
-		}
-		chunk, err := label.Symbols(j, to)
-		if err != nil {
-			s.recordColumns(consumed, cells)
-			s.prevBuf, s.curBuf = prev, cur
-			return expandResult{}, err
-		}
-		j = to
-		for len(chunk) > 0 && !terminator {
-			part := chunk
-			// Cancellation poll (Options.Context): cap the kernel call at the
-			// remaining poll budget so a query stuck in a long hit-less DP
-			// stretch still observes ctx within pollEvery columns instead of
-			// only at the next hit callback.
-			if s.ctx != nil && s.pollCountdown < len(part) {
-				if s.pollCountdown < 1 {
-					s.pollCountdown = 1
-				}
-				part = part[:s.pollCountdown]
-			}
-			r := sweepEdgeFast(prev, cur, s.profT, s.h32, s.profWidth, part, plo, phi, m, gap, maxScore, minScore, s.full)
-			cells += r.cells
-			if r.bestCol > 0 {
-				bestQEnd = r.bestQEnd
-				bestDepth = int32(parentDepth + consumed + int(r.bestCol))
-			}
-			maxScore = r.maxScore
-			consumed += int(r.columns)
-			terminator = r.terminator
-			if r.swapped {
-				prev, cur = cur, prev
-			}
-			switch r.status {
-			case sweepClosed:
-				// Nothing below this node can beat the alignment already
-				// found along this path.
-				s.recordColumns(consumed, cells)
-				s.prevBuf, s.curBuf = prev, cur
-				return s.closeOut(child, maxScore, bestQEnd, bestDepth), nil
-			case sweepDead:
-				s.recordColumns(consumed, cells)
-				s.prevBuf, s.curBuf = prev, cur
-				s.stats.NodesUnviable++
-				return expandResult{}, nil
-			}
-			plo, phi = int(r.plo), int(r.phi)
-			if r.columns > 0 {
-				fBound = int(r.colBest)
-			}
-			chunk = chunk[r.columns:]
-			if s.ctx != nil {
-				s.pollCountdown -= int(r.columns)
-				if s.pollCountdown <= 0 {
-					s.pollCountdown = s.pollEvery
-					if err := s.ctx.Err(); err != nil {
-						s.recordColumns(consumed, cells)
-						s.prevBuf, s.curBuf = prev, cur
-						return expandResult{}, err
-					}
-				}
-			}
-		}
-	}
-	s.recordColumns(consumed, cells)
-	// Keep the searcher's scratch pointers consistent with the swaps.
-	s.prevBuf, s.curBuf = prev, cur
-
-	// The whole edge label has been consumed (or a terminator reached).
-	if child.IsLeaf() || terminator {
-		// No further expansion is possible below a leaf or past a terminator.
-		return s.closeOut(child, maxScore, bestQEnd, bestDepth), nil
-	}
-	if consumed == 0 {
-		// Degenerate empty edge (cannot happen in a well-formed index).
-		s.stats.NodesUnviable++
-		return expandResult{}, nil
-	}
-	return s.storeViable(child, int32(parentDepth+consumed), plo, phi, prev, maxScore, bestQEnd, bestDepth, fBound), nil
-}
-
-// expandRef is expand on the retained scalar reference kernel
-// (Options.ReferenceKernel): one guarded sweepColumnRef call per symbol, the
-// original structure the fast path is differentially tested against.
-func (s *searcher) expandRef(parentID int32, child NodeRef, label EdgeLabel) (expandResult, error) {
 	m := len(s.query)
 	gap := int32(s.opts.Scheme.Gap)
 	minScore := int32(s.opts.MinScore)
 	full := s.full
+	prof, h32, width := s.prof, s.h32, s.profWidth
 	ns := s.nodes
 
 	prev := s.prevBuf
@@ -807,19 +641,20 @@ func (s *searcher) expandRef(parentID int32, child NodeRef, label EdgeLabel) (ex
 			var err error
 			chunk, err = label.Symbols(j, to)
 			if err != nil {
+				s.recordColumns(columns, cells)
 				s.prevBuf, s.curBuf = prev, cur
 				return expandResult{}, err
 			}
 			chunkStart, chunkEnd = j, to
 		}
 		sym := chunk[j-chunkStart]
-		if int(sym) >= s.profWidth {
+		if int(sym) >= width {
 			// Sequence terminator: alignments never extend across it; the
 			// remaining label (if any) is beyond this sequence.
 			terminator = true
 			break
 		}
-		r := sweepColumnRef(prev, cur, s.prof, s.h32, s.profWidth, int(sym), plo, phi, m, gap, maxScore, minScore, full)
+		r := sweepColumn(prev, cur, prof, h32, width, int(sym), plo, phi, m, gap, maxScore, minScore, full)
 		cells += int64(r.cells)
 		if r.maxScore > maxScore {
 			maxScore = r.maxScore
@@ -856,6 +691,40 @@ func (s *searcher) expandRef(parentID int32, child NodeRef, label EdgeLabel) (ex
 		return expandResult{}, nil
 	}
 	return s.storeViable(child, int32(parentDepth+columns), plo, phi, prev, maxScore, bestQEnd, bestDepth, int(hColumn)), nil
+}
+
+// closeOut stores a node whose subtree is finished — closed out by the prune
+// rule, a leaf, or a terminator — as accepted (when its best score qualifies)
+// or unviable.
+func (s *searcher) closeOut(child NodeRef, maxScore, bestQEnd, bestDepth int32) expandResult {
+	if int(maxScore) >= s.opts.MinScore {
+		s.stats.NodesAccepted++
+		id := s.acc.alloc()
+		s.acc.ref[id] = child
+		s.acc.score[id] = maxScore
+		s.acc.qEnd[id] = bestQEnd
+		s.acc.pDep[id] = bestDepth
+		return expandResult{id: id, f: int(maxScore), accepted: true, ok: true}
+	}
+	s.stats.NodesUnviable++
+	return expandResult{}
+}
+
+// storeViable stores a still-viable node and returns its queue entry.
+func (s *searcher) storeViable(child NodeRef, depth int32, plo, phi int, band []int32, maxScore, bestQEnd, bestDepth int32, f int) expandResult {
+	ns := s.nodes
+	id := ns.alloc()
+	ns.ref[id] = child
+	ns.depth[id] = depth
+	ns.maxSc[id] = maxScore
+	ns.qEnd[id] = bestQEnd
+	ns.pDep[id] = bestDepth
+	ns.cLo[id] = int32(plo)
+	ns.cHi[id] = int32(phi)
+	b := s.allocBand(phi - plo + 1)
+	copy(b, band[plo:phi+1])
+	ns.band[id] = b
+	return expandResult{id: id, f: f, ok: true}
 }
 
 func (s *searcher) recordColumns(columns int, cells int64) {

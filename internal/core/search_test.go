@@ -514,3 +514,80 @@ func randomProteinString(rng *rand.Rand, n int) string {
 	}
 	return string(b)
 }
+
+// TestWideDomainQueryUsesHeap drives the nodeHeap fallback end to end.
+// Servers accept queries of up to 10,000 residues, and under PAM30 (W-W
+// scores 13) a W-rich query of a few thousand residues has a heuristic
+// bound h[0] whose f domain [MinScore, h[0]] exceeds maxBucketRange, so the
+// searcher must order its queue with the heap.  Its hits must still be
+// exactly Smith-Waterman's, with optimal endpoints.
+func TestWideDomainQueryUsesHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	scheme := score.MustScheme(score.ByName("PAM30"), -10)
+	letters := seq.Protein.Letters()
+	qb := make([]byte, 6000)
+	for i := range qb {
+		if rng.Intn(10) < 8 {
+			qb[i] = 'W'
+		} else {
+			qb[i] = letters[rng.Intn(len(letters))]
+		}
+	}
+	query := seq.Protein.MustEncode(string(qb))
+	var strs []string
+	for i := 0; i < 12; i++ {
+		b := make([]byte, 20+rng.Intn(40))
+		for j := range b {
+			b[j] = letters[rng.Intn(len(letters))]
+		}
+		s := string(b)
+		if i%2 == 0 {
+			// Plant a piece of the query so some sequences score high.
+			off := rng.Intn(len(qb) - 30)
+			s += string(qb[off : off+10+rng.Intn(20)])
+		}
+		strs = append(strs, s)
+	}
+	db, err := seq.DatabaseFromStrings(seq.Protein, strs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := memIndex(t, db)
+	const minScore = 40
+	s, err := newSearcher(idx, query, Options{Scheme: scheme, MinScore: minScore})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if span := s.h[0] - minScore + 1; s.useBuckets || span <= maxBucketRange {
+		t.Fatalf("f domain %d (h[0] %d) does not force the heap fallback (buckets %v)", span, s.h[0], s.useBuckets)
+	}
+	s.release()
+
+	hits, err := SearchAll(idx, query, Options{Scheme: scheme, MinScore: minScore})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := align.SearchDatabase(db, query, scheme, align.Options{MinScore: minScore})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hits) != len(want) || len(want) == 0 {
+		t.Fatalf("OASIS reported %d hits, Smith-Waterman %d", len(hits), len(want))
+	}
+	sorted := append([]Hit(nil), hits...)
+	SortHits(sorted)
+	for i, h := range sorted {
+		if h.SeqIndex != want[i].SeqIndex || h.Score != want[i].Score {
+			t.Fatalf("hit %d: OASIS (%d, %d), Smith-Waterman (%d, %d)", i, h.SeqIndex, h.Score, want[i].SeqIndex, want[i].Score)
+		}
+	}
+	for i, h := range hits {
+		if i > 0 && h.Score > hits[i-1].Score {
+			t.Fatalf("hit %d scores %d after %d", i, h.Score, hits[i-1].Score)
+		}
+		target := db.Sequence(h.SeqIndex).Residues
+		if got := align.Score(query[:h.QueryEnd], target[:h.TargetEnd], scheme, nil); got != h.Score {
+			t.Fatalf("hit %+v: S-W score up to its endpoints is %d", h, got)
+		}
+	}
+}

@@ -198,6 +198,10 @@ type laneHeads struct {
 
 // maxBucketRange caps the f domain the bucket queue will index directly
 // (lanes cost 16 bytes per f value); wider domains fall back to the heap.
+// The fallback is reachable by real queries: oasis-serve and remote.Server
+// accept up to 10,000 residues, and under PAM30 (diagonal 6-13) h[0] passes
+// this cap from roughly 5,000 W-rich residues up
+// (TestWideDomainQueryUsesHeap).
 const maxBucketRange = 1 << 16
 
 // init prepares the queue for f values in [base, fMax].

@@ -161,11 +161,6 @@ func RenderSharded(w io.Writer, rows []ShardedRow) {
 type LiveBandRow struct {
 	// BandTime / FullTime are mean per-query times with the band on/off.
 	BandTime, FullTime time.Duration
-	// RefTime is the mean per-query time of the scalar reference kernel
-	// (core.Options.ReferenceKernel): the banded sweep without the SoA
-	// branch-free inner loop, so RefTime/BandTime isolates the kernel
-	// speedup from the band's cell savings.
-	RefTime time.Duration
 	// BandCells / FullCells are total cells computed across the workload.
 	BandCells, FullCells int64
 	// Columns is the total columns expanded (identical in both modes: the
@@ -207,17 +202,6 @@ func LiveBand(lab *Lab) (LiveBandRow, error) {
 		}
 		row.FullTime += time.Since(start)
 
-		var refStats core.Stats
-		start = time.Now()
-		ref, err := core.SearchAll(lab.Mem, q.Residues, core.Options{
-			Scheme: lab.Scheme, MinScore: minScore, Stats: &refStats,
-			ReferenceKernel: true,
-		})
-		if err != nil {
-			return row, err
-		}
-		row.RefTime += time.Since(start)
-
 		if len(band) != len(fullSweep) {
 			return row, fmt.Errorf("experiments: live band changed the hit count for %s: %d vs %d",
 				q.ID, len(band), len(fullSweep))
@@ -226,19 +210,6 @@ func LiveBand(lab *Lab) (LiveBandRow, error) {
 			if band[i] != fullSweep[i] {
 				return row, fmt.Errorf("experiments: live band changed hit %d for %s", i, q.ID)
 			}
-		}
-		if len(ref) != len(band) {
-			return row, fmt.Errorf("experiments: reference kernel changed the hit count for %s: %d vs %d",
-				q.ID, len(ref), len(band))
-		}
-		for i := range ref {
-			if ref[i] != band[i] {
-				return row, fmt.Errorf("experiments: reference kernel changed hit %d for %s", i, q.ID)
-			}
-		}
-		if refStats.CellsComputed != bandStats.CellsComputed || refStats.ColumnsExpanded != bandStats.ColumnsExpanded {
-			return row, fmt.Errorf("experiments: reference kernel work diverged for %s: %d cells/%d columns vs %d/%d",
-				q.ID, refStats.CellsComputed, refStats.ColumnsExpanded, bandStats.CellsComputed, bandStats.ColumnsExpanded)
 		}
 		row.Hits += int64(len(band))
 		row.BandCells += bandStats.CellsComputed
@@ -249,7 +220,6 @@ func LiveBand(lab *Lab) (LiveBandRow, error) {
 	if n > 0 {
 		row.BandTime /= n
 		row.FullTime /= n
-		row.RefTime /= n
 	}
 	if row.FullCells > 0 {
 		row.CellFraction = float64(row.BandCells) / float64(row.FullCells)
@@ -260,10 +230,10 @@ func LiveBand(lab *Lab) (LiveBandRow, error) {
 // RenderLiveBand writes the live-band ablation as a text table.
 func RenderLiveBand(w io.Writer, row LiveBandRow) {
 	fmt.Fprintln(w, "Live-band DP kernel — cells computed vs the exhaustive sweep (identical hits)")
-	fmt.Fprintf(w, "%-14s %-14s %-14s %-16s %-16s %-10s %-8s\n",
-		"band t/query", "ref t/query", "full t/query", "band cells", "full cells", "fraction", "hits")
-	fmt.Fprintf(w, "%-14s %-14s %-14s %-16d %-16d %-10.4f %-8d\n",
-		fmtDur(row.BandTime), fmtDur(row.RefTime), fmtDur(row.FullTime),
+	fmt.Fprintf(w, "%-14s %-14s %-16s %-16s %-10s %-8s\n",
+		"band t/query", "full t/query", "band cells", "full cells", "fraction", "hits")
+	fmt.Fprintf(w, "%-14s %-14s %-16d %-16d %-10.4f %-8d\n",
+		fmtDur(row.BandTime), fmtDur(row.FullTime),
 		row.BandCells, row.FullCells, row.CellFraction, row.Hits)
 	fmt.Fprintln(w)
 }
@@ -319,8 +289,8 @@ type BenchRecord struct {
 	//	                           shards (shared index; columns should stay
 	//	                           ~flat vs the 1-shard baseline)
 	//	liveband/band              banded DP kernel on the Figure-4 workload
-	//	liveband/ref-kernel        scalar reference kernel ablation (same
-	//	                           band, per-cell guarded sweep)
+	//	liveband/ref-kernel        (historical) a removed second kernel's
+	//	                           time on the same band
 	//	liveband/full-sweep        exhaustive-sweep ablation of the same
 	//	batch/...                  warm batch engine vs per-query setup
 	Name string `json:"name"`

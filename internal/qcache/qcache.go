@@ -64,11 +64,10 @@ type Key struct {
 	// fields, so they must not share an entry.
 	KA    score.KarlinAltschul
 	HasKA bool
-	// DisableLiveBand and ReferenceKernel do not change results, but they
-	// are kept in the key so ablation runs never serve each other's streams
-	// (their Stats-shaped expectations differ).
+	// DisableLiveBand does not change results, but it is kept in the key so
+	// ablation runs never serve each other's streams (their Stats-shaped
+	// expectations differ).
 	DisableLiveBand bool
-	ReferenceKernel bool
 }
 
 // NewKey derives the cache key for a search of residues under opts against
@@ -83,7 +82,6 @@ func NewKey(residues []byte, opts core.Options, gen uint64) Key {
 		Gap:             opts.Scheme.Gap,
 		MinScore:        opts.MinScore,
 		DisableLiveBand: opts.DisableLiveBand,
-		ReferenceKernel: opts.ReferenceKernel,
 	}
 	if opts.KA != nil {
 		k.KA = *opts.KA

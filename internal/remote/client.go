@@ -40,6 +40,14 @@ const (
 	// (de-prioritized, not banned: it is still tried when every replica of
 	// the slice is down, which is how a recovered replica rejoins).
 	downAfter = 3
+	// maxEventBytes caps one NDJSON event line read from a replica, so a
+	// misbehaving replica cannot make the coordinator buffer an unbounded
+	// line.  Every fixed field of an Event encodes in well under 300 bytes;
+	// the variable parts of the largest legal events are one sequence ID (a
+	// hit) or one error string per internal shard (a done event's stats).
+	// 1 MiB leaves that a thousandfold headroom over kilobyte-long IDs and
+	// error lists; a longer line fails the attempt like a broken stream.
+	maxEventBytes = 1 << 20
 )
 
 // errConsumerStopped marks an attempt that ended because the merger's
@@ -577,7 +585,7 @@ func (c *Client) open(ctx context.Context, cancel context.CancelFunc, replica in
 		return nil, err
 	}
 	br := bufio.NewReader(resp.Body)
-	first, err := br.ReadBytes('\n')
+	first, err := readEvent(br)
 	if err != nil {
 		resp.Body.Close()
 		cancel()
@@ -673,9 +681,26 @@ func (c *Client) consume(cn *conn, st *streamState, opts core.Options, hit func(
 			return fmt.Errorf("remote: %s sent unknown event kind %q", addr, ev.E)
 		}
 		var err error
-		line, err = cn.br.ReadBytes('\n')
+		line, err = readEvent(cn.br)
 		if err != nil {
 			return fmt.Errorf("remote: stream from %s broke: %w", addr, err)
+		}
+	}
+}
+
+// readEvent reads one newline-terminated event line of at most
+// maxEventBytes bytes (the newline included).  The returned slice is the
+// caller's own copy.
+func readEvent(br *bufio.Reader) ([]byte, error) {
+	var line []byte
+	for {
+		frag, err := br.ReadSlice('\n')
+		if len(line)+len(frag) > maxEventBytes {
+			return nil, fmt.Errorf("remote: event line exceeds %d bytes", maxEventBytes)
+		}
+		line = append(line, frag...)
+		if err != bufio.ErrBufferFull {
+			return line, err
 		}
 	}
 }

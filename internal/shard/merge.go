@@ -89,6 +89,13 @@ func newMerger(bounds []int, opts core.Options, totalRes int64, queryLen int, de
 	return m
 }
 
+// skip completes shard s before the merge starts: it has no work, so it
+// contributes no hits, bounds or counters.
+func (m *merger) skip(s int) {
+	m.done[s] = true
+	m.nDone++
+}
+
 // dedupSet tracks emitted sequences across one merged query.  Like
 // core.Scratch's reported flags, it is pooled by the engine and reset in
 // O(emitted hits) via the touched list, so a warm prefix-mode engine does

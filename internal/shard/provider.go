@@ -3,9 +3,7 @@ package shard
 import (
 	"fmt"
 	"io"
-	"sync/atomic"
 
-	"repro/internal/bufferpool"
 	"repro/internal/core"
 )
 
@@ -60,36 +58,11 @@ func NewEngineFromProviders(set ProviderSet, opts Options) (*Engine, error) {
 	}
 	e := &Engine{
 		mode:      PartitionBySequence,
+		nShards:   len(set.Providers),
 		providers: set.Providers,
 		cat:       set.Catalog,
 		closers:   set.Closers,
 	}
-	e.nShards = len(set.Providers)
-	e.numSeqs = e.cat.NumSequences()
-	e.total = e.cat.TotalResidues()
-	e.queryAl = e.cat.Alphabet()
-	e.workers = opts.Workers
-	if e.workers < 1 || e.workers > e.nShards {
-		e.workers = e.nShards
-	}
-	e.scratch = bufferpool.NewFreeList(4*(e.nShards+1), core.NewScratch)
-	e.dedups = bufferpool.NewFreeList(8, func() *dedupSet { return &dedupSet{} })
-	e.queued = make([]atomic.Int64, e.nShards)
-	e.active = make([]atomic.Int64, e.nShards)
+	e.finish(opts)
 	return e, nil
-}
-
-// searchProviders fans the query out to every provider and merges the streams
-// exactly like searchSequence: providers are sequence-disjoint, so no
-// deduplication is needed, and every stream starts at the query's root bound.
-func (e *Engine) searchProviders(query []byte, opts core.Options, report func(core.Hit) bool, bsink func(int) bool) error {
-	rb := e.rootBound(query, opts)
-	bounds := make([]int, e.nShards)
-	for s := range bounds {
-		bounds[s] = rb
-	}
-	return e.fanOutMerge(query, opts, bounds, nil, core.Stats{}, nil, report, nil, bsink,
-		func(s int, shardOpts core.Options, hit func(core.Hit) bool, frontier func(int) bool) error {
-			return e.providers[s].Stream(query, shardOpts, hit, frontier)
-		})
 }

@@ -16,14 +16,24 @@
 // deduplicates, and the frontier-bound release rule guarantees the first
 // released hit for a sequence carries its global best score.
 //
-// In both modes a shard's searcher reports its hits in decreasing score
-// order and additionally publishes a decreasing frontier bound — the f-value
-// of the node at the head of its priority queue, which caps every score the
-// shard can still report (core.SearchStream / core.SearchSeedsStream).  The
-// merger releases a buffered hit as soon as its score is strictly above
-// every unfinished shard's latest bound, which preserves the paper's online
-// decreasing-score property end to end while keeping first-hit latency low:
-// no shard has to finish before the strongest hits start flowing.
+// Every query runs down one path (Engine.search behind Search,
+// SearchBounded and SearchExtra).  It builds a list of stream sources:
+// the local sequence shards, or the prefix seed groups (static or work
+// stealing), or the remote providers of a coordinator engine
+// (NewEngineFromProviders), followed by any delta layers of the mutable
+// context.  Each source has an initial bound, an optional "no work" test and
+// a run function, and fanOutMerge runs them on the bounded worker pool and
+// merges them.  The only exception is a plain search of a single-shard local
+// engine, which runs inline as the single-index search.
+//
+// Each source reports its hits in decreasing score order and additionally
+// publishes a decreasing frontier bound — the f-value of the node at the
+// head of its priority queue, which caps every score it can still report
+// (core.SearchStream / core.SearchSeedsStream).  The merger releases a
+// buffered hit as soon as its score is strictly above every unfinished
+// source's latest bound, which preserves the paper's online decreasing-score
+// property end to end while keeping first-hit latency low: no source has to
+// finish before the strongest hits start flowing.
 //
 // The merged (sequence, score, rank, E-value) stream is reproducible run to
 // run: equal-score ties are released only after every shard that could still
@@ -289,6 +299,14 @@ func NewEngineFromSet(set IndexSet, opts Options) (*Engine, error) {
 	default:
 		return nil, fmt.Errorf("shard: unknown partition mode %d", set.Partition)
 	}
+	e.finish(opts)
+	return e, nil
+}
+
+// finish completes construction once the shards (nShards) and the global
+// catalog are in place: corpus totals, the worker bound, and the pools and
+// counters sized to the shard count.
+func (e *Engine) finish(opts Options) {
 	e.numSeqs = e.cat.NumSequences()
 	e.total = e.cat.TotalResidues()
 	e.queryAl = e.cat.Alphabet()
@@ -305,7 +323,6 @@ func NewEngineFromSet(set IndexSet, opts Options) (*Engine, error) {
 	e.nosteal = opts.NoSteal
 	e.queued = make([]atomic.Int64, e.nShards)
 	e.active = make([]atomic.Int64, e.nShards)
-	return e, nil
 }
 
 // Catalog returns the engine's global sequence catalog (hit sequence indexes
@@ -441,45 +458,7 @@ const (
 // Stats.Add; hit ranks are assigned by the merger.  Returning false from
 // report cancels every shard search.
 func (e *Engine) Search(query []byte, opts core.Options, report func(core.Hit) bool) error {
-	if !e.mutable.empty() {
-		// The directory carried compacted deltas and/or tombstones: every
-		// search merges them in so the stream reflects the live corpus.
-		return e.SearchExtra(query, opts, e.mutable, report)
-	}
-	if err := e.applyStanding(opts); err != nil {
-		return err
-	}
-	if len(e.providers) > 0 {
-		if err := opts.Scheme.Validate(); err != nil {
-			return err
-		}
-		return e.searchProviders(query, opts, report, nil)
-	}
-	if e.nShards == 1 {
-		// One shard is the single-index search; skip the merge machinery.
-		globals := e.globals[0]
-		n := 0
-		if opts.Scratch == nil {
-			sc := e.scratch.Get()
-			opts.Scratch = sc
-			defer e.scratch.Put(sc)
-		}
-		e.active[0].Add(1)
-		defer e.active[0].Add(-1)
-		return core.Search(e.indexes[0], query, opts, func(h core.Hit) bool {
-			h.SeqIndex = globals[h.SeqIndex]
-			n++
-			h.Rank = n
-			return report(h)
-		})
-	}
-	if err := opts.Scheme.Validate(); err != nil {
-		return err
-	}
-	if e.mode == PartitionByPrefix {
-		return e.searchPrefix(query, opts, report, nil)
-	}
-	return e.searchSequence(query, opts, report, nil)
+	return e.search(query, opts, nil, report, nil)
 }
 
 // SearchBounded is Search with a second online output: alongside the merged
@@ -495,28 +474,7 @@ func (e *Engine) Search(query []byte, opts core.Options, report func(core.Hit) b
 // machinery here, so equal-score ties are always released in ascending global
 // sequence index — the canonical merged order a coordinator reproduces.
 func (e *Engine) SearchBounded(query []byte, opts core.Options, hit func(core.Hit) bool, bound func(int) bool) error {
-	if bound == nil {
-		return e.Search(query, opts, hit)
-	}
-	if err := e.applyStanding(opts); err != nil {
-		return err
-	}
-	if err := opts.Scheme.Validate(); err != nil {
-		return err
-	}
-	if len(e.providers) > 0 {
-		return e.searchProviders(query, opts, hit, bound)
-	}
-	if !e.mutable.empty() {
-		if e.mode == PartitionByPrefix && e.nShards > 1 {
-			return e.searchPrefixExtra(query, opts, e.mutable, hit, bound)
-		}
-		return e.searchSequenceExtra(query, opts, e.mutable, hit, bound)
-	}
-	if e.mode == PartitionByPrefix && e.nShards > 1 {
-		return e.searchPrefix(query, opts, hit, bound)
-	}
-	return e.searchSequence(query, opts, hit, bound)
+	return e.search(query, opts, nil, hit, bound)
 }
 
 // SearchExtra is Search with the engine layer's mutable context merged in:
@@ -525,24 +483,197 @@ func (e *Engine) SearchBounded(query []byte, opts core.Options, hit func(core.Hi
 // stop.  With an empty set it is exactly Search.  Extra streams always go
 // through the merge machinery (even on a single-shard engine), so the merged
 // stream keeps the globally decreasing-score property and deterministic tie
-// release.
+// release.  Provider-backed engines have no mutable layer and refuse a
+// non-empty set.
 func (e *Engine) SearchExtra(query []byte, opts core.Options, ext *ExtraSet, report func(core.Hit) bool) error {
+	return e.search(query, opts, ext, report, nil)
+}
+
+// source is one stream the merger consumes: a local sequence shard, a prefix
+// seed group, a delta layer or a remote provider.  Its position in the
+// query's source list is its stream index, which ShardError.Shard, the
+// shard-%d failpoint keys and the per-shard queue counters all use.
+type source struct {
+	// bound is the merger's initial bound for the stream: the strongest
+	// score it may report before publishing a bound of its own.
+	bound int
+	// idle, when set, reports at launch that the source has no work left.
+	idle func() bool
+	// run searches with the prepared per-stream options, forwarding hits
+	// (with global sequence indexes) and decreasing frontier bounds.
+	run func(opts core.Options, hit func(core.Hit) bool, bound func(int) bool) error
+}
+
+// indexSource streams a whole index (a sequence shard or a delta layer) from
+// the query's root bound, mapping its hits to global sequence indexes.
+func indexSource(query []byte, idx core.Index, globals []int, rootBound int) source {
+	return source{bound: rootBound, run: func(opts core.Options, hit func(core.Hit) bool, bound func(int) bool) error {
+		return core.SearchStream(idx, query, opts, func(h core.Hit) bool {
+			h.SeqIndex = globals[h.SeqIndex]
+			return hit(h)
+		}, bound)
+	}}
+}
+
+// search is the one search path behind Search, SearchBounded and
+// SearchExtra.  An empty ext means the engine's standing mutable set (a
+// reopened directory's compacted deltas and tombstones), if any; bound, when
+// non-nil, receives the merged stream's own decreasing upper bound.
+//
+// A plain search of a single-shard local engine runs inline as the
+// single-index search.  Everything else builds one list of sources — the
+// local sequence shards, or the prefix seed groups after one shared near-root
+// expansion, or the remote providers; then any delta layers — and merges it
+// through fanOutMerge.
+func (e *Engine) search(query []byte, opts core.Options, ext *ExtraSet, hit func(core.Hit) bool, bound func(int) bool) error {
 	if ext.empty() {
-		return e.Search(query, opts, report)
+		ext = e.mutable
 	}
-	if len(e.providers) > 0 {
+	if ext.empty() {
+		ext = nil
+	} else if len(e.providers) > 0 {
 		return fmt.Errorf("shard: provider-backed engines have no mutable layer")
 	}
 	if err := e.applyStanding(opts); err != nil {
 		return err
 	}
+	if ext == nil && bound == nil && len(e.providers) == 0 && e.nShards == 1 {
+		// One shard is the single-index search; skip the merge machinery.
+		globals := e.globals[0]
+		n := 0
+		if opts.Scratch == nil {
+			sc := e.scratch.Get()
+			opts.Scratch = sc
+			defer e.scratch.Put(sc)
+		}
+		e.active[0].Add(1)
+		defer e.active[0].Add(-1)
+		return core.Search(e.indexes[0], query, opts, func(h core.Hit) bool {
+			h.SeqIndex = globals[h.SeqIndex]
+			n++
+			h.Rank = n
+			return hit(h)
+		})
+	}
 	if err := opts.Scheme.Validate(); err != nil {
 		return err
 	}
-	if e.mode == PartitionByPrefix && e.nShards > 1 {
-		return e.searchPrefixExtra(query, opts, ext, report, nil)
+
+	rootBound := e.rootBound(query, opts)
+	var srcs []source
+	var dedup *dedupSet
+	var shared core.Stats // work done once for every source
+	switch {
+	case len(e.providers) > 0:
+		// Providers are sequence-disjoint: no deduplication needed.
+		for _, p := range e.providers {
+			srcs = append(srcs, source{bound: rootBound, run: func(opts core.Options, hit func(core.Hit) bool, bound func(int) bool) error {
+				return p.Stream(query, opts, hit, bound)
+			}})
+		}
+	case e.mode == PartitionByPrefix && e.nShards > 1:
+		// A sequence's suffixes spread across prefix subtrees, so the merger
+		// deduplicates over the full global space (delta sequences pass
+		// through it harmlessly).
+		var pool *stealPool
+		var err error
+		if srcs, pool, shared, err = e.prefixSources(query, opts); err != nil {
+			return err
+		}
+		if pool != nil {
+			defer func() { e.steals.Add(pool.stealCount()) }()
+		}
+		n := e.numSeqs
+		if ext != nil && ext.NumSeqs > n {
+			n = ext.NumSeqs
+		}
+		dedup = e.dedups.Get()
+		dedup.acquire(n)
+		defer e.dedups.Put(dedup)
+	default:
+		// Sequence shards (or the shared index of a single-shard prefix
+		// engine) are sequence-disjoint: no deduplication needed.
+		for s, idx := range e.indexes {
+			srcs = append(srcs, indexSource(query, idx, e.globals[s], rootBound))
+		}
 	}
-	return e.searchSequenceExtra(query, opts, ext, report, nil)
+	if ext != nil {
+		for _, x := range ext.Shards {
+			srcs = append(srcs, indexSource(query, x.Index, x.Globals, rootBound))
+		}
+	}
+
+	bounds := make([]int, len(srcs))
+	for s, src := range srcs {
+		bounds[s] = src.bound
+	}
+	m := newMerger(bounds, opts, e.total, len(query), dedup, hit)
+	m.onBound = bound
+	if ext != nil {
+		m.drop = ext.Drop
+		if ext.TotalResidues > 0 {
+			m.totalRes = ext.TotalResidues
+		}
+		m.stopAt = ext.LiveSeqs
+	}
+	err := e.fanOutMerge(opts, srcs, m)
+	if opts.Stats != nil {
+		opts.Stats.Add(shared)
+	}
+	return err
+}
+
+// prefixSources runs the shared near-root expansion (its columns computed
+// once per query) and returns one source per prefix shard, each a seeded
+// searcher over its disjoint subtrees, with the steal pool (nil when
+// stealing is off) and the expansion's work counters.
+func (e *Engine) prefixSources(query []byte, opts core.Options) ([]source, *stealPool, core.Stats, error) {
+	frOpts := opts
+	frOpts.KA = nil
+	frOpts.Stats = nil
+	// The frontier's seeds are independent copies, so a pooled scratch goes
+	// back as soon as the expansion returns instead of being pinned for the
+	// whole query.
+	var pooled *core.Scratch
+	if frOpts.Scratch == nil {
+		pooled = e.scratch.Get()
+		frOpts.Scratch = pooled
+	}
+	fr, err := core.ExpandFrontier(e.frontier, query, frOpts, e.prefixes)
+	if pooled != nil {
+		e.scratch.Put(pooled)
+	}
+	if err != nil {
+		return nil, nil, core.Stats{}, err
+	}
+	bounds := fr.Bounds
+	var pool *stealPool
+	if !e.nosteal {
+		// Work stealing: seeds are claimed from a shared pool on demand
+		// (steal.go) instead of searched as static batches, so a skewed query
+		// cannot strand workers on drained shards.  All bounds start at the
+		// global max seed f — any shard may claim the hottest seed.
+		pool = newStealPool(fr.Seeds)
+		bounds = stealBounds(fr.Bounds)
+	}
+	srcs := make([]source, len(e.views))
+	for s, view := range e.views {
+		srcs[s].bound = bounds[s]
+		if pool != nil {
+			claim := claimFunc(pool, s)
+			srcs[s].idle = pool.empty
+			srcs[s].run = func(opts core.Options, hit func(core.Hit) bool, bound func(int) bool) error {
+				return core.SearchSeedsDynamic(view, query, opts, claim, hit, bound)
+			}
+			continue
+		}
+		seeds := fr.Seeds[s]
+		srcs[s].idle = func() bool { return len(seeds) == 0 }
+		srcs[s].run = func(opts core.Options, hit func(core.Hit) bool, bound func(int) bool) error {
+			return core.SearchSeedsStream(view, query, opts, seeds, hit, bound)
+		}
+	}
+	return srcs, pool, fr.Stats, nil
 }
 
 // applyStanding folds open-time quarantines into the query: strict mode
@@ -562,29 +693,6 @@ func (e *Engine) applyStanding(opts core.Options) error {
 	return nil
 }
 
-// shardSearchFn runs one shard's search with the prepared per-shard options,
-// forwarding hits (with global sequence indexes) and frontier bounds to the
-// supplied callbacks.
-type shardSearchFn func(s int, shardOpts core.Options, hit func(core.Hit) bool, frontier func(bound int) bool) error
-
-// searchSequence is the PartitionBySequence multi-shard search: independent
-// per-shard indexes, disjoint sequence subsets, no deduplication needed.
-func (e *Engine) searchSequence(query []byte, opts core.Options, report func(core.Hit) bool, bsink func(int) bool) error {
-	bounds := make([]int, e.nShards)
-	rb := e.rootBound(query, opts)
-	for s := range bounds {
-		bounds[s] = rb
-	}
-	return e.fanOutMerge(query, opts, bounds, nil, core.Stats{}, nil, report, nil, bsink,
-		func(s int, shardOpts core.Options, hit func(core.Hit) bool, frontier func(int) bool) error {
-			globals := e.globals[s]
-			return core.SearchStream(e.indexes[s], query, shardOpts, func(h core.Hit) bool {
-				h.SeqIndex = globals[h.SeqIndex]
-				return hit(h)
-			}, frontier)
-		})
-}
-
 // rootBound is the strongest f any search over this query can hold (max
 // heuristic among unpruned query positions): the initial frontier bound for
 // every stream the worker pool has not scheduled yet.
@@ -600,198 +708,43 @@ func (e *Engine) rootBound(query []byte, opts core.Options) int {
 	return rootBound
 }
 
-// searchSequenceExtra merges the base shards (sequence mode, or the shared
-// index of a single-shard prefix engine) with the delta shards.  All streams
-// are sequence-disjoint, so no deduplication is needed; with tombstones in
-// play the per-shard MaxResults budget is cleared — a shard could otherwise
-// exhaust it on hits the merger then drops, starving live hits it never got
-// to report.
-func (e *Engine) searchSequenceExtra(query []byte, opts core.Options, ext *ExtraSet, report func(core.Hit) bool, bsink func(int) bool) error {
-	rb := e.rootBound(query, opts)
-	bounds := make([]int, e.nShards+len(ext.Shards))
-	for s := range bounds {
-		bounds[s] = rb
+// fanOutMerge runs every source on the bounded worker pool, each adapted
+// into merger events by runShardStream, and merges their streams through m.
+// A source whose idle test reports no work is completed at once without
+// spending a goroutine, worker-pool slot or scratch — with more prefix
+// shards than prefix groups, seedless shards would otherwise queue real work
+// behind no-op searcher setup.  The per-stream counters and quarantines are
+// merged into opts.Stats once every stream has unwound.
+func (e *Engine) fanOutMerge(opts core.Options, srcs []source, m *merger) error {
+	streamOpts := opts
+	if m.dedup != nil || m.drop != nil {
+		// The merger truncates the merged stream; a per-stream MaxResults
+		// budget could otherwise be exhausted by hits the merger then drops
+		// (duplicates, tombstones), starving the stream of hits another
+		// source never got to report.
+		streamOpts.MaxResults = 0
 	}
-	clearMax := ext.Drop != nil
-	return e.fanOutMerge(query, opts, bounds, nil, core.Stats{}, ext, report, nil, bsink,
-		func(s int, shardOpts core.Options, hit func(core.Hit) bool, frontier func(int) bool) error {
-			if clearMax {
-				shardOpts.MaxResults = 0
-			}
-			idx, globals := e.index(s, ext)
-			return core.SearchStream(idx, query, shardOpts, func(h core.Hit) bool {
-				h.SeqIndex = globals[h.SeqIndex]
-				return hit(h)
-			}, frontier)
-		})
-}
-
-// index resolves stream s to its index and global map: base shards first,
-// then the extra (delta) shards.
-func (e *Engine) index(s int, ext *ExtraSet) (core.Index, []int) {
-	if s < e.nShards {
-		return e.indexes[s], e.globals[s]
-	}
-	x := ext.Shards[s-e.nShards]
-	return x.Index, x.Globals
-}
-
-// searchPrefix is the PartitionByPrefix multi-shard search: one shared
-// near-root expansion (columns computed once), then one seeded searcher per
-// shard over its disjoint subtrees, with sequence-level deduplication in the
-// merger.
-func (e *Engine) searchPrefix(query []byte, opts core.Options, report func(core.Hit) bool, bsink func(int) bool) error {
-	frOpts := opts
-	frOpts.KA = nil
-	frOpts.Stats = nil
-	// The frontier's seeds are independent copies, so a pooled scratch goes
-	// back as soon as the expansion returns instead of being pinned for the
-	// whole query.
-	var pooled *core.Scratch
-	if frOpts.Scratch == nil {
-		pooled = e.scratch.Get()
-		frOpts.Scratch = pooled
-	}
-	fr, err := core.ExpandFrontier(e.frontier, query, frOpts, e.prefixes)
-	if pooled != nil {
-		e.scratch.Put(pooled)
-	}
-	if err != nil {
-		return err
-	}
-	dedup := e.dedups.Get()
-	dedup.acquire(e.numSeqs)
-	defer e.dedups.Put(dedup)
-	if !e.nosteal {
-		// Work stealing: seeds are claimed from a shared pool on demand
-		// (steal.go) instead of searched as static batches, so a skewed query
-		// cannot strand workers on drained shards.  All merger bounds start at
-		// the global max seed f — any shard may claim the hottest seed.
-		pool := newStealPool(fr.Seeds)
-		defer func() { e.steals.Add(pool.stealCount()) }()
-		return e.fanOutMerge(query, opts, stealBounds(fr.Bounds), dedup, fr.Stats, nil, report,
-			func(int) bool { return pool.empty() }, bsink,
-			func(s int, shardOpts core.Options, hit func(core.Hit) bool, frontier func(int) bool) error {
-				shardOpts.MaxResults = 0
-				return core.SearchSeedsDynamic(e.views[s], query, shardOpts, claimFunc(pool, s), hit, frontier)
-			})
-	}
-	return e.fanOutMerge(query, opts, fr.Bounds, dedup, fr.Stats, nil, report,
-		func(s int) bool { return len(fr.Seeds[s]) == 0 }, bsink,
-		func(s int, shardOpts core.Options, hit func(core.Hit) bool, frontier func(int) bool) error {
-			// The merger truncates the merged stream; a per-shard MaxResults
-			// budget could otherwise be exhausted by hits that later
-			// deduplicate away, starving the stream of hits another shard
-			// never got to report.
-			shardOpts.MaxResults = 0
-			return core.SearchSeedsStream(e.views[s], query, shardOpts, fr.Seeds[s], hit, frontier)
-		})
-}
-
-// searchPrefixExtra is searchPrefix with the delta shards merged in: the
-// shared near-root expansion still runs once over the base index only, while
-// each delta (its own small suffix tree) streams through core.SearchStream
-// from the query root bound.  Deduplication covers the full global space —
-// base sequences may repeat across prefix shards; delta sequences appear in
-// exactly one stream but flow through the same set harmlessly.
-func (e *Engine) searchPrefixExtra(query []byte, opts core.Options, ext *ExtraSet, report func(core.Hit) bool, bsink func(int) bool) error {
-	frOpts := opts
-	frOpts.KA = nil
-	frOpts.Stats = nil
-	var pooled *core.Scratch
-	if frOpts.Scratch == nil {
-		pooled = e.scratch.Get()
-		frOpts.Scratch = pooled
-	}
-	fr, err := core.ExpandFrontier(e.frontier, query, frOpts, e.prefixes)
-	if pooled != nil {
-		e.scratch.Put(pooled)
-	}
-	if err != nil {
-		return err
-	}
-	rb := e.rootBound(query, opts)
-	baseBounds := fr.Bounds
-	var pool *stealPool
-	if !e.nosteal {
-		pool = newStealPool(fr.Seeds)
-		defer func() { e.steals.Add(pool.stealCount()) }()
-		baseBounds = stealBounds(fr.Bounds)
-	}
-	bounds := append(append(make([]int, 0, e.nShards+len(ext.Shards)), baseBounds...), make([]int, len(ext.Shards))...)
-	for s := e.nShards; s < len(bounds); s++ {
-		bounds[s] = rb
-	}
-	n := e.numSeqs
-	if ext.NumSeqs > n {
-		n = ext.NumSeqs
-	}
-	dedup := e.dedups.Get()
-	dedup.acquire(n)
-	defer e.dedups.Put(dedup)
-	idle := func(s int) bool { return s < e.nShards && len(fr.Seeds[s]) == 0 }
-	if pool != nil {
-		idle = func(s int) bool { return s < e.nShards && pool.empty() }
-	}
-	return e.fanOutMerge(query, opts, bounds, dedup, fr.Stats, ext, report, idle, bsink,
-		func(s int, shardOpts core.Options, hit func(core.Hit) bool, frontier func(int) bool) error {
-			shardOpts.MaxResults = 0
-			if s < e.nShards {
-				if pool != nil {
-					return core.SearchSeedsDynamic(e.views[s], query, shardOpts, claimFunc(pool, s), hit, frontier)
-				}
-				return core.SearchSeedsStream(e.views[s], query, shardOpts, fr.Seeds[s], hit, frontier)
-			}
-			x := ext.Shards[s-e.nShards]
-			return core.SearchStream(x.Index, query, shardOpts, func(h core.Hit) bool {
-				h.SeqIndex = x.Globals[h.SeqIndex]
-				return hit(h)
-			}, frontier)
-		})
-}
-
-// fanOutMerge is the shared fan-out/merge scaffolding of both partition
-// modes: one goroutine per shard on the bounded worker pool, each adapted
-// into merger events by runShardStream, merged by a merger configured with
-// the per-shard initial bounds and (pooled) dedup set.  Shards the idle predicate
-// (optional) marks as workless are completed immediately without spending a
-// goroutine, worker-pool slot or scratch — with more prefix shards than
-// prefix groups, seedless shards would otherwise queue real work behind
-// no-op searcher setup.  extraStats (the prefix mode's shared frontier
-// work) and the per-shard counters are merged into opts.Stats once every
-// shard has unwound.  bsink, when non-nil, receives the merged stream's own
-// decreasing upper bound (SearchBounded).
-func (e *Engine) fanOutMerge(query []byte, opts core.Options, bounds []int, dedup *dedupSet, extraStats core.Stats, ext *ExtraSet, report func(core.Hit) bool, idle func(s int) bool, bsink func(int) bool, search shardSearchFn) error {
-	// len(bounds) counts every stream: the engine's own shards plus any
-	// extra (delta) shards appended after them.  The buffer holds at least
-	// one event per stream, so the idle-shard completions below never block
-	// before the merger starts draining.
-	nStreams := len(bounds)
-	events := make(chan event, 4*nStreams+16)
+	// A few events of slack per stream let sources run ahead of the merger
+	// between its wake-ups instead of blocking on every send.
+	events := make(chan event, 4*len(srcs)+16)
 	var cancelled atomic.Bool
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, e.workers)
-	for s := 0; s < nStreams; s++ {
-		if idle != nil && idle(s) {
-			events <- event{shard: s, kind: evDone}
+	for s, src := range srcs {
+		if src.idle != nil && src.idle() {
+			// Completed on the merger directly, not through events: sources
+			// launched earlier may already have filled the buffer, and the
+			// merger does not drain it until this loop ends.
+			m.skip(s)
 			continue
 		}
 		wg.Add(1)
-		go func(s int) {
+		go func() {
 			defer wg.Done()
 			defer e.releaseWorker(s, sem)
 			e.acquireWorker(s, sem)
-			e.runShardStream(s, opts, events, &cancelled, search)
-		}(s)
-	}
-	m := newMerger(bounds, opts, e.total, len(query), dedup, report)
-	m.onBound = bsink
-	if ext != nil {
-		m.drop = ext.Drop
-		if ext.TotalResidues > 0 {
-			m.totalRes = ext.TotalResidues
-		}
-		m.stopAt = ext.LiveSeqs
+			e.runShardStream(s, streamOpts, events, &cancelled, src.run)
+		}()
 	}
 	err := m.run(events, &cancelled)
 	wg.Wait()
@@ -799,7 +752,6 @@ func (e *Engine) fanOutMerge(query []byte, opts core.Options, bounds []int, dedu
 		e.quarantines.Add(int64(len(m.degraded)))
 	}
 	if opts.Stats != nil {
-		opts.Stats.Add(extraStats)
 		for _, st := range m.shardStats {
 			opts.Stats.Add(st)
 		}
@@ -835,7 +787,7 @@ func (e *Engine) releaseWorker(s int, sem chan struct{}) {
 // runShardStream executes one shard's search and adapts it into merger
 // events: hits and strictly decreasing frontier bounds are forwarded until
 // cancellation, then completion is signalled with the shard's work counters.
-func (e *Engine) runShardStream(s int, opts core.Options, events chan<- event, cancelled *atomic.Bool, search shardSearchFn) {
+func (e *Engine) runShardStream(s int, opts core.Options, events chan<- event, cancelled *atomic.Bool, run func(core.Options, func(core.Hit) bool, func(int) bool) error) {
 	if err := faultpoint.Hit(faultpoint.SiteShardWorker, fmt.Sprintf("shard-%d", s)); err != nil {
 		events <- event{shard: s, kind: evDone, err: fmt.Errorf("shard %d: %w", s, err)}
 		return
@@ -865,7 +817,7 @@ func (e *Engine) runShardStream(s int, opts core.Options, events chan<- event, c
 		e.scratch.Put(sc)
 	}()
 	lastBound := int(^uint(0) >> 1) // MaxInt
-	err := search(s, shardOpts,
+	err := run(shardOpts,
 		func(h core.Hit) bool {
 			if cancelled.Load() {
 				return false
